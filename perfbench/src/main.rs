@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --workload basic-serial --seed 1 --seconds 25 --trace 0
+//!     --workload secure-serial --seed 1 --seconds 45 --trace 0
 //! ```
 //!
 //! `--trace 0` measures the end-to-end metrics with no tracing; `--trace 1`
@@ -20,16 +20,22 @@ mod traced;
 mod workload;
 
 use report::Metrics;
-use stats::{median, median_or_zero, quartiles, relative_spread, tail, trimmed_mean};
+use stats::{median, median_or_zero, percentile, quartiles, relative_spread, tail};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use workload::{Shape, Tally};
 
-/// Set-ups per untraced run; `setup_s` is their median.
-const SETUPS: usize = 3;
+/// Set-ups timed before and after an untraced run's measured phase;
+/// `setup_s` is the median of all of them. Timing some at each end spreads
+/// them over the run, so one slow or fast stretch of a shared host does not
+/// hold every sample.
+const SETUPS_BEFORE: usize = 1;
+const SETUPS_AFTER: usize = 2;
 /// Query encryptions timed for `user_encrypt_ms` before each batch.
 const USER_ENCRYPTS: usize = 8;
+/// The percentile of those timings `user_encrypt_ms` reports.
+const USER_ENCRYPT_PERCENTILE: f64 = 10.0;
 /// Where runs keep their durable stores and span files, relative to the
 /// checkout root the benchmark runs from.
 const SCRATCH: &str = "perfbench/.scratch";
@@ -207,7 +213,7 @@ pub fn peak_rss_mb() -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
-/// Stands the workload up `SETUPS` times (timing each) and keeps the last
+/// Stands the workload up `setups` times (timing each) and keeps the last
 /// deployment.
 pub fn timed_setups(
     shape: &Shape,
@@ -244,16 +250,22 @@ fn print_quartiles(what: &str, xs: &[f64]) {
     }
 }
 
+/// Prints every sample of `xs` (in ms), in the order they were taken.
+fn print_samples(what: &str, xs: &[f64]) {
+    let shown: Vec<String> = xs.iter().map(|x| format!("{x:.1}")).collect();
+    println!("{what} samples (ms, in order): [{}]", shown.join(", "));
+}
+
 /// A run's metrics, operation tally, and the metric names it reports.
 pub(crate) type RunResult = Result<(Metrics, Tally, Vec<(String, &'static str)>), String>;
 
 fn untraced(shape: &Shape, seed: u64, budget: Duration, scratch: &Path) -> RunResult {
-    let (mut dep, setup_times) = timed_setups(shape, seed, scratch, SETUPS)?;
+    let (mut dep, mut setup_times) = timed_setups(shape, seed, scratch, SETUPS_BEFORE)?;
     let mut tally = Tally::default();
+    workload::warm_up(shape, &dep, seed, &mut tally);
     let phase = workload::measured_phase(shape, &mut dep, seed, budget, USER_ENCRYPTS, &mut tally);
 
     let mut m = Metrics::default();
-    m.set("setup_s", median_or_zero(&setup_times), setup_times.len());
     let latencies: Vec<f64> = phase
         .queries
         .iter()
@@ -279,15 +291,16 @@ fn untraced(shape: &Shape, seed: u64, budget: Duration, scratch: &Path) -> RunRe
         phase.correct_queries as usize,
     );
 
-    // A mean, not a median: a 30 ms sample lands wholly in one fast or slow
-    // stretch of a shared host, and the median of such a two-mode sample
-    // flips between the modes from run to run, while the (tail-trimmed)
-    // mean moves only with the share of time spent in each.
+    // A low percentile, not a median: a 20-30 ms sample lands wholly in one
+    // fast or slow stretch of a shared host, the slow stretches come and go
+    // over tens of seconds, and a run's median (or mean) moves with the share
+    // of its samples that landed in them. The 10th percentile is the cost on
+    // an uncontended core whenever a run sees one, and moves far less.
     m.set_noted(
         "user_encrypt_ms",
-        trimmed_mean(&phase.user_encrypt_ms, 0.1),
+        percentile(&phase.user_encrypt_ms, USER_ENCRYPT_PERCENTILE),
         phase.user_encrypt_ms.len(),
-        "10%-trimmed mean",
+        "10th percentile",
     );
 
     if shape.churn {
@@ -309,7 +322,13 @@ fn untraced(shape: &Shape, seed: u64, budget: Duration, scratch: &Path) -> RunRe
     } else {
         drop(dep);
     }
+    let (last, after) = timed_setups(shape, seed, &scratch.join("after"), SETUPS_AFTER)?;
+    drop(last);
+    setup_times.extend(after);
+    m.set("setup_s", median_or_zero(&setup_times), setup_times.len());
     m.set("peak_rss_mb", peak_rss_mb(), 1);
+    print_samples("query latency", &latencies);
+    print_samples("user encrypt", &phase.user_encrypt_ms);
     println!(
         "setup_s samples: {:?}",
         setup_times

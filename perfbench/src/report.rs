@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 /// The workloads, in the order `BENCHMARK.json` lists them.
-pub const WORKLOADS: [&str; 3] = ["basic-serial", "secure-serial", "churn-tcp"];
+pub const WORKLOADS: [&str; 2] = ["secure-serial", "churn-tcp"];
 
 /// End-to-end metrics, reported by every untraced run (`--trace 0`).
 pub const END_TO_END: [(&str, &str); 5] = [

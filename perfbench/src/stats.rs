@@ -29,16 +29,14 @@ pub fn median_or_zero(xs: &[f64]) -> f64 {
     median(xs).unwrap_or(0.0)
 }
 
-/// Mean of `xs` after dropping the lowest and highest `trim` share of the
-/// samples (`trim` = 0.1 drops a tenth at each end); 0 for an empty slice.
-pub fn trimmed_mean(xs: &[f64], trim: f64) -> f64 {
+/// The `p`-th percentile of `xs` by nearest rank: the smallest sample with
+/// at least `p` % of the samples at or below it; 0 for an empty slice.
+pub fn percentile(xs: &[f64], p: f64) -> f64 {
     let s = sorted(xs);
-    let cut = (s.len() as f64 * trim).floor() as usize;
-    let kept = &s[cut..s.len() - cut];
-    if kept.is_empty() {
-        return 0.0;
-    }
-    kept.iter().sum::<f64>() / kept.len() as f64
+    let rank = ((p / 100.0) * s.len() as f64).ceil() as usize;
+    s.get(rank.clamp(1, s.len().max(1)) - 1)
+        .copied()
+        .unwrap_or(0.0)
 }
 
 /// The three quartile cut points of `xs`, computed like Python's
@@ -123,12 +121,16 @@ mod tests {
     }
 
     #[test]
-    fn trimmed_mean_drops_both_tails() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 100.0];
-        assert_eq!(trimmed_mean(&xs, 0.1), 5.5);
-        assert_eq!(trimmed_mean(&xs, 0.0), 14.5);
-        assert_eq!(trimmed_mean(&[2.0, 4.0], 0.1), 3.0);
-        assert_eq!(trimmed_mean(&[], 0.1), 0.0);
+    fn percentile_is_nearest_rank() {
+        let xs: Vec<f64> = (1..=100).rev().map(f64::from).collect();
+        assert_eq!(percentile(&xs, 10.0), 10.0);
+        assert_eq!(percentile(&xs, 50.0), 50.0);
+        assert_eq!(percentile(&xs, 100.0), 100.0);
+        // Eight samples: rank ceil(0.8) = 1, the smallest.
+        let xs = [8.0, 3.0, 5.0, 1.0, 7.0, 2.0, 6.0, 4.0];
+        assert_eq!(percentile(&xs, 10.0), 1.0);
+        assert_eq!(percentile(&xs, 0.0), 1.0);
+        assert_eq!(percentile(&[], 10.0), 0.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The three workloads: their shapes, the seeded inputs, the deployment
+//! The two workloads: their shapes, the seeded inputs, the deployment
 //! each stands up, and the closed-loop measured phase.
 
 use crate::oracle::{check_basic, check_secure, LiveTable};
@@ -49,20 +49,7 @@ pub struct Shape {
 impl Shape {
     /// The shape of workload `name`.
     pub fn named(name: &str) -> Option<Shape> {
-        let basic = Shape {
-            name: "basic-serial",
-            protocol: Protocol::Basic,
-            n: 32,
-            k: 5,
-            l: 12,
-            max_value: 26,
-            transport: TransportKind::InProcess,
-            shards: 1,
-            batch: 1,
-            churn: false,
-        };
         match name {
-            "basic-serial" => Some(basic),
             "secure-serial" => Some(Shape {
                 name: "secure-serial",
                 protocol: Protocol::Secure,
@@ -70,15 +57,22 @@ impl Shape {
                 k: 2,
                 l: 8,
                 max_value: 6,
-                ..basic
+                transport: TransportKind::InProcess,
+                shards: 1,
+                batch: 1,
+                churn: false,
             }),
             "churn-tcp" => Some(Shape {
                 name: "churn-tcp",
+                protocol: Protocol::Basic,
+                n: 32,
+                k: 5,
+                l: 12,
+                max_value: 26,
                 transport: TransportKind::Tcp,
                 shards: 2,
                 batch: 2,
                 churn: true,
-                ..basic
             }),
             _ => None,
         }
@@ -134,6 +128,7 @@ pub enum Stream {
     Writes,
     Probe,
     User,
+    WarmUp,
 }
 
 /// The random stream `stream` of workload seed `seed`.
@@ -326,6 +321,15 @@ pub fn measured_phase(
     }
     phase.wall = start.elapsed() - user_time - think;
     phase
+}
+
+/// Runs one batch before the measured phase, checked but not timed, so the
+/// first timed query does not pay first-touch costs (the protocol's code
+/// paths and allocations) that no later query pays.
+pub fn warm_up(shape: &Shape, dep: &Deployment, seed: u64, tally: &mut Tally) {
+    let mut rng = rng(seed, Stream::WarmUp);
+    let points: Vec<Vec<u64>> = (0..shape.batch).map(|_| shape.record(&mut rng)).collect();
+    run_batch(shape, dep, &points, &mut rng, tally, &mut Phase::default());
 }
 
 /// Builds, runs and checks one batch, appending its samples to `phase`.
